@@ -21,9 +21,11 @@ check: build lint-deprecated lint-docs
 # determinism matrix, the golden-trace determinism test, and the sweep
 # service's chaos acceptance), plus the observability overhead,
 # checkpoint warm-start, hot-path, cross-policy Pareto, analytical-twin
-# divergence, and sweep-service smoke gates.
+# divergence, and sweep-service smoke gates, and a short fuzz of cache
+# checkpoint restore.
 robust: bench-obs bench-ckpt bench-hotpath bench-policies bench-twin bench-scale serve-smoke
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz FuzzCacheRestore -fuzztime 10s ./internal/cache
 
 # Deprecated-accessor gate: the one-off System observation accessors
 # superseded by Snapshot() were removed from the public API; this gate

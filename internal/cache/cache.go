@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"pabst/internal/mem"
 )
@@ -20,13 +21,26 @@ type Config struct {
 	IndexShift uint
 }
 
-type line struct {
-	tag   uint64
-	class mem.ClassID
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
+// Key word layout: each way's tag and state share one uint64, so a hit
+// probe reads Ways contiguous words. The tag is the whole line number,
+// which fits because line numbers are addresses shifted right by
+// mem.LineShift.
+const (
+	tagBits    = 64 - mem.LineShift
+	tagMask    = 1<<tagBits - 1
+	classShift = tagBits
+	classMask  = 1<<4 - 1
+	dirtyBit   = 1 << 62
+	validBit   = 1 << 63
+)
+
+// The class field must hold every class ID and stay clear of the state
+// bits: raising mem.MaxClasses past 16, or shrinking mem.LineShift, fails
+// the build here instead of corrupting keys.
+var (
+	_ [classMask + 1 - mem.MaxClasses]struct{}
+	_ [62 - classShift - 4]struct{}
+)
 
 // Victim describes a line displaced by an allocation.
 type Victim struct {
@@ -46,13 +60,13 @@ type Result struct {
 // use.
 type Cache struct {
 	cfg     Config
-	numSets int
-	lines   []line // numSets * ways, set-major
-	clock   uint64
+	setMask uint64
+	keys    []uint64 // numSets * ways, set-major: tag | class | dirty | valid
+	used    []uint32 // LRU stamps, parallel to keys; 0 for invalid ways
+	clock   uint32
 
-	partitioned bool
-	partStart   [mem.MaxClasses]int
-	partWays    [mem.MaxClasses]int
+	partStart [mem.MaxClasses]int
+	partWays  [mem.MaxClasses]int // 0: class unrestricted
 
 	// Stats
 	Hits, Misses, Evictions, DirtyEvictions uint64
@@ -74,13 +88,14 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:     cfg,
-		numSets: numSets,
-		lines:   make([]line, numSets*cfg.Ways),
+		setMask: uint64(numSets - 1),
+		keys:    make([]uint64, numSets*cfg.Ways),
+		used:    make([]uint32, numSets*cfg.Ways),
 	}
 }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return c.numSets }
+func (c *Cache) NumSets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.cfg.Ways }
@@ -93,69 +108,122 @@ func (c *Cache) Partition(class mem.ClassID, start, n int) {
 	if n < 0 || start < 0 || start+n > c.cfg.Ways {
 		panic(fmt.Sprintf("cache: partition [%d,%d) outside %d ways", start, start+n, c.cfg.Ways))
 	}
-	c.partitioned = true
 	c.partStart[class] = start
 	c.partWays[class] = n
 }
 
-func (c *Cache) setFor(addr mem.Addr) int {
-	return int((addr.LineID() >> c.cfg.IndexShift) % uint64(c.numSets))
+// setBase returns the index of the first way of addr's set.
+func (c *Cache) setBase(addr mem.Addr) int {
+	return int((addr.LineID()>>c.cfg.IndexShift)&c.setMask) * c.cfg.Ways
+}
+
+// probe returns the way of keys holding a valid copy of line tag, or -1.
+func probe(keys []uint64, tag uint64) int {
+	want := validBit | tag
+	for i, k := range keys {
+		if k&(validBit|tagMask) == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// tick advances the LRU clock and returns the new stamp. Before the
+// 32-bit clock would wrap, renumber rewrites every set's stamps to their
+// ranks, which keeps every future victim choice unchanged.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber replaces each valid stamp by its rank among the valid stamps
+// of its set (1 + the number of strictly older lines, so order and ties
+// are kept) and restarts the clock at Ways, above every rank. Stamps are
+// only ever compared within one set, so victim selection cannot tell the
+// difference.
+func (c *Cache) renumber() {
+	ways := c.cfg.Ways
+	ranks := make([]uint32, ways)
+	for base := 0; base < len(c.keys); base += ways {
+		keys, used := c.keys[base:base+ways], c.used[base:base+ways]
+		for i, k := range keys {
+			if k&validBit == 0 {
+				continue
+			}
+			ranks[i] = 1
+			for j, kj := range keys {
+				if kj&validBit != 0 && used[j] < used[i] {
+					ranks[i]++
+				}
+			}
+		}
+		for i, k := range keys {
+			if k&validBit != 0 {
+				used[i] = ranks[i]
+			}
+		}
+	}
+	c.clock = uint32(ways)
 }
 
 // Access performs a demand load (write=false) or store (write=true) by
 // class. On a miss the line is allocated in the class's partition and the
 // displaced victim, if any, is reported.
 func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
-	c.clock++
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
+	now := c.tick()
+	base := c.setBase(addr)
+	keys := c.keys[base : base+c.cfg.Ways]
+	used := c.used[base : base+c.cfg.Ways]
 	tag := addr.LineID()
 
 	// Hit path: search every way.
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			l.used = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.Hits++
-			return Result{Hit: true}
+	if i := probe(keys, tag); i >= 0 {
+		used[i] = now
+		if write {
+			keys[i] |= dirtyBit
 		}
+		c.Hits++
+		return Result{Hit: true}
 	}
 	c.Misses++
 
 	// Victim selection within the class's allowed ways.
-	start, n := 0, c.cfg.Ways
-	if c.partitioned && c.partWays[class] > 0 {
-		start, n = c.partStart[class], c.partWays[class]
+	start, n := 0, len(keys)
+	if w := c.partWays[class]; w > 0 {
+		start, n = c.partStart[class], w
 	}
-	victimIdx := base + start
+	v := start
 	for i := start; i < start+n; i++ {
-		l := &c.lines[base+i]
-		if !l.valid {
-			victimIdx = base + i
+		if keys[i]&validBit == 0 {
+			v = i
 			break
 		}
-		if l.used < c.lines[victimIdx].used {
-			victimIdx = base + i
+		if used[i] < used[v] {
+			v = i
 		}
 	}
-	v := &c.lines[victimIdx]
 	res := Result{}
-	if v.valid {
+	if k := keys[v]; k&validBit != 0 {
+		dirty := k&dirtyBit != 0
 		c.Evictions++
-		if v.Dirty() {
+		if dirty {
 			c.DirtyEvictions++
 		}
 		res.Evicted = true
 		res.Victim = Victim{
-			Addr:  mem.Addr(c.reassemble(v.tag)),
-			Class: v.class,
-			Dirty: v.dirty,
+			Addr:  mem.Addr((k & tagMask) << mem.LineShift),
+			Class: mem.ClassID((k >> classShift) & classMask),
+			Dirty: dirty,
 		}
 	}
-	*v = line{tag: tag, class: class, valid: true, dirty: write, used: c.clock}
+	key := validBit | uint64(class)<<classShift | tag
+	if write {
+		key |= dirtyBit
+	}
+	keys[v], used[v] = key, now
 	return res
 }
 
@@ -164,18 +232,13 @@ func (c *Cache) Access(addr mem.Addr, write bool, class mem.ClassID) Result {
 // is returned; otherwise false is returned and nothing is allocated
 // (write-no-allocate), leaving the caller to forward the data to memory.
 func (c *Cache) Writeback(addr mem.Addr, class mem.ClassID) bool {
-	c.clock++
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			l.dirty = true
-			l.used = c.clock
-			c.Hits++
-			return true
-		}
+	now := c.tick()
+	base := c.setBase(addr)
+	if i := probe(c.keys[base:base+c.cfg.Ways], addr.LineID()); i >= 0 {
+		c.keys[base+i] |= dirtyBit
+		c.used[base+i] = now
+		c.Hits++
+		return true
 	}
 	c.Misses++
 	return false
@@ -183,42 +246,21 @@ func (c *Cache) Writeback(addr mem.Addr, class mem.ClassID) bool {
 
 // Contains reports whether addr is resident, without touching LRU state.
 func (c *Cache) Contains(addr mem.Addr) bool {
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	base := c.setBase(addr)
+	return probe(c.keys[base:base+c.cfg.Ways], addr.LineID()) >= 0
 }
 
-// OccupancyByClass counts valid lines held by each class, the monitoring
-// feature existing QoS architectures expose for the shared cache. It
-// allocates a map per call; monitoring loops should use OccupancyInto.
-func (c *Cache) OccupancyByClass() map[mem.ClassID]int {
-	var occ [mem.MaxClasses]int
-	c.OccupancyInto(&occ)
-	m := make(map[mem.ClassID]int)
-	for cls, n := range occ {
-		if n > 0 {
-			m[mem.ClassID(cls)] = n
-		}
-	}
-	return m
-}
-
-// OccupancyInto is the allocation-free variant of OccupancyByClass: dst
-// is zeroed and filled with each class's valid-line count.
+// OccupancyInto counts valid lines held by each class, the monitoring
+// feature existing QoS architectures expose for the shared cache: dst is
+// zeroed and filled with each class's valid-line count. It does not
+// allocate.
 func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			dst[c.lines[i].class]++
+	for _, k := range c.keys {
+		if k&validBit != 0 {
+			dst[(k>>classShift)&classMask]++
 		}
 	}
 }
@@ -226,28 +268,8 @@ func (c *Cache) OccupancyInto(dst *[mem.MaxClasses]int) {
 // WaysOf reports the partition assigned to class; ok is false when the
 // class is unrestricted.
 func (c *Cache) WaysOf(class mem.ClassID) (start, n int, ok bool) {
-	if !c.partitioned || c.partWays[class] == 0 {
+	if c.partWays[class] == 0 {
 		return 0, 0, false
 	}
 	return c.partStart[class], c.partWays[class], true
 }
-
-// wayIndexOf locates addr and returns its way, or -1.
-func (c *Cache) wayIndexOf(addr mem.Addr) int {
-	set := c.setFor(addr)
-	base := set * c.cfg.Ways
-	tag := addr.LineID()
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			return i
-		}
-	}
-	return -1
-}
-
-func (l *line) Dirty() bool { return l.dirty }
-
-// reassemble reconstructs a line-aligned byte address from a stored tag.
-// Tags are whole line numbers, so this is just the inverse of LineID.
-func (c *Cache) reassemble(tag uint64) uint64 { return tag << mem.LineShift }
